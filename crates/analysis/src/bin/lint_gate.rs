@@ -15,7 +15,7 @@
 //! Exit codes: 0 clean, 1 violations found, 2 I/O or self-test failure.
 
 use gko::config::{json, Config};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn main() {
     let mut root_arg: Option<PathBuf> = None;
@@ -96,23 +96,60 @@ fn main() {
     }
 }
 
-/// Locates the workspace root: the analysis crate's grandparent when built
-/// in-tree, otherwise the nearest ancestor of the current directory that
-/// looks like the workspace (has both `Cargo.toml` and `crates/`).
+/// Locates the workspace root from the current directory, falling back to
+/// the analysis crate's build-time location (see [`workspace_root_from`]).
 fn find_workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    if let Some(root) = manifest.parent().and_then(|p| p.parent()) {
-        if root.join("Cargo.toml").exists() {
-            return root.to_owned();
-        }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root_from(&cwd, Path::new(env!("CARGO_MANIFEST_DIR")))
+}
+
+/// The nearest ancestor of `cwd` that looks like the workspace (has both
+/// `Cargo.toml` and `crates/`); failing that, the grandparent of the
+/// analysis crate's `manifest_dir`. The working directory wins so a binary
+/// built in one checkout and run from another scans the tree it runs in.
+fn workspace_root_from(cwd: &Path, manifest_dir: &Path) -> PathBuf {
+    let is_workspace = |dir: &Path| dir.join("Cargo.toml").exists() && dir.join("crates").is_dir();
+    if let Some(root) = cwd.ancestors().find(|dir| is_workspace(dir)) {
+        return root.to_owned();
     }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if cur.join("Cargo.toml").exists() && cur.join("crates").is_dir() {
-            return cur;
-        }
-        if !cur.pop() {
-            return PathBuf::from(".");
-        }
+    match manifest_dir.parent().and_then(Path::parent) {
+        Some(root) if root.join("Cargo.toml").exists() => root.to_owned(),
+        _ => PathBuf::from("."),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lint_gate_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn current_directory_workspace_wins_over_manifest_dir() {
+        let other = scratch_dir("cwd_wins");
+        std::fs::create_dir_all(other.join("crates/engine/src")).unwrap();
+        std::fs::write(other.join("Cargo.toml"), "[workspace]\n").unwrap();
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        // From the workspace root and from a subdirectory of it.
+        assert_eq!(workspace_root_from(&other, manifest), other);
+        assert_eq!(
+            workspace_root_from(&other.join("crates/engine/src"), manifest),
+            other
+        );
+        std::fs::remove_dir_all(&other).unwrap();
+    }
+
+    #[test]
+    fn falls_back_to_manifest_dir_outside_any_workspace() {
+        let bare = scratch_dir("fallback");
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let expected = manifest.parent().and_then(Path::parent).unwrap();
+        assert_eq!(workspace_root_from(&bare, manifest), expected);
+        std::fs::remove_dir_all(&bare).unwrap();
     }
 }

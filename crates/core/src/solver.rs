@@ -143,8 +143,8 @@ impl Solver {
     /// renders events to an internal text buffer, `"profile"` aggregates
     /// per-kernel timings and pool counters, and `"metrics"` attaches the
     /// device executor's [`MetricsRegistry`] (latency histograms with
-    /// p50/p95/p99, Prometheus and Chrome-trace exporters — read it back
-    /// with [`Solver::metrics`]). The logger is attached to the *device
+    /// p50/p95/p99 and a Prometheus exporter — read it back with
+    /// [`Solver::metrics`]). The logger is attached to the *device
     /// executor*, so it observes kernel launches, allocations, and pool
     /// dispatches of every operation on this device alongside this solver's
     /// iteration events. Kinds may be combined by chaining calls; read
@@ -324,10 +324,11 @@ impl Solver {
 
     /// Snapshot of the metrics registry attached via
     /// `with_logger("metrics")`: per-kernel call counts and latency
-    /// quantiles, solver iteration counters, pool-dispatch and allocation
-    /// histograms, and the trace spans behind
-    /// [`MetricsSnapshot::to_chrome_trace`]. `None` until the metrics
-    /// logger is attached.
+    /// quantiles, solver iteration counters, and pool-dispatch and
+    /// allocation histograms, rendered by
+    /// [`MetricsSnapshot::to_prometheus`]. `None` until the metrics logger
+    /// is attached. Per-solve span trees (and their Chrome-trace export)
+    /// come from [`Solver::trace_report`].
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.attached.metrics.as_ref().map(|m| m.snapshot())
     }
@@ -1088,6 +1089,8 @@ mod tests {
         let solver = cg(&dev, &mtx, None, 500, 1e-10)
             .unwrap()
             .with_logger("metrics")
+            .unwrap()
+            .with_tracing(1)
             .unwrap();
         assert!(solver.metrics().is_some(), "snapshot available pre-solve");
 
@@ -1117,9 +1120,11 @@ mod tests {
         assert_eq!(snap.solves, 1);
         assert!(snap.alloc_bytes.count > 0);
 
-        // Both exporters render from the same snapshot.
+        // Prometheus renders from the snapshot; the Chrome trace comes from
+        // the solve's span tree.
         assert!(snap.to_prometheus().contains("gko_kernel_calls_total{op=\"csr\"}"));
-        assert!(snap.to_chrome_trace().starts_with("{\"traceEvents\":["));
+        let trace = solver.trace_report().expect("sample_n=1 retains the solve");
+        assert!(trace.to_chrome_trace().starts_with("{\"traceEvents\":["));
 
         // The same registry is also visible executor-wide.
         let exec_snap = dev.executor().metrics_snapshot().unwrap();

@@ -20,8 +20,8 @@
 //! * **Preconditioners** ([`preconditioner`]): scalar and block Jacobi, ILU,
 //!   and IC, backed by the [`factorization`] module's ILU(0)/IC(0).
 //! * **Stopping criteria** ([`stop`]), **loggers** ([`log`]), and the
-//!   always-on **metrics registry** ([`metrics`]: latency histograms,
-//!   Prometheus/Chrome-trace exporters).
+//!   always-on **metrics registry** ([`metrics`]: counters and latency
+//!   histograms with a Prometheus exporter).
 //! * **The live telemetry plane** ([`telemetry`]): a std-only HTTP scrape
 //!   endpoint (`/metrics`, `/healthz`, `/runs`), per-lane pool utilization
 //!   series, and an anomaly-detecting flight recorder.
@@ -30,7 +30,8 @@
 //!   a seeded schedule-perturbation stress harness.
 //! * **Causal span tracing** ([`trace`]): per-solve trace trees from the
 //!   solve root down to individual pool-lane chunks, tail-sampled into a
-//!   bounded store and served by the telemetry plane (`/traces`).
+//!   bounded store and served by the telemetry plane (`/traces`, JSON or
+//!   Chrome-trace).
 //! * **Continuous profiling** ([`profile`]): always-on flame aggregation
 //!   over the span stream — windowed [`FlameNode`](profile) trees keyed by
 //!   span path with wall/virtual self-time, per-lane attribution, and

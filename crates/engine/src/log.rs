@@ -25,8 +25,10 @@
 //! This event stream is also the input to the higher observability layers:
 //! [`crate::metrics`] aggregates it into histograms, the
 //! [`crate::telemetry`] flight recorder folds it into per-solve reports,
-//! and the [`crate::trace`] tracer reassembles the paired
-//! started/completed events into causal span trees.
+//! and the [`crate::trace`] tracer — the one place that reassembles the
+//! paired started/completed events into spans — builds causal span trees.
+//! [`Profiler`] keeps its own nesting because it is the only source of
+//! per-kernel virtual (cost-model) self time; spans carry no model time.
 
 use crate::executor::Executor;
 use crate::stop::StopReason;

@@ -147,8 +147,16 @@ pub fn render_prometheus(exec: &Executor) -> String {
         "# HELP gko_uptime_seconds Real seconds since this executor was constructed."
     );
     let _ = writeln!(out, "# TYPE gko_uptime_seconds gauge");
-    let _ = writeln!(out, "gko_uptime_seconds {}", exec.uptime_seconds());
+    let _ = writeln!(out, "gko_uptime_seconds {}", uptime_text(exec));
     out
+}
+
+/// Executor uptime in seconds at a fixed millisecond precision, shared by
+/// `/metrics` and `/healthz`. A shortest-repr float gains or loses digits
+/// from one render to the next, so a `HEAD` would advertise a different
+/// `Content-Length` than the `GET` that follows it.
+fn uptime_text(exec: &Executor) -> String {
+    format!("{:.3}", exec.uptime_seconds())
 }
 
 /// Renders the `/healthz` JSON document for `exec`.
@@ -214,7 +222,10 @@ pub fn health_json(exec: &Executor) -> String {
                 .with("nodes", exec.profile().node_count())
                 .with("solves", exec.profile().solves_total() as i64)
                 .with("evicted", exec.profile().evicted() as i64),
-        )
-        .with("uptime_seconds", exec.uptime_seconds());
-    json::to_string_pretty(&cfg)
+        );
+    // `Config` floats render shortest-repr, so the fixed-precision uptime is
+    // appended as a literal; it sorts last among the (sorted) keys anyway.
+    let doc = json::to_string_pretty(&cfg);
+    let body = doc.trim_end().strip_suffix('}').unwrap_or(&doc).trim_end();
+    format!("{body},\n  \"uptime_seconds\": {}\n}}\n", uptime_text(exec))
 }

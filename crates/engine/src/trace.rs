@@ -54,14 +54,14 @@
 //! decision (enabling tracing enables the recorder).
 //!
 //! Serving: `GET /traces` (index) and `GET /traces/<id>` (full span tree
-//! JSON; `?format=chrome` re-uses the §11 Chrome-trace emitter).
+//! JSON; `?format=chrome` renders [`TraceReport::to_chrome_trace`]).
 
 use crate::config::Config;
 use crate::executor::Executor;
 use crate::log::Event;
-use crate::metrics;
 use crate::stop::StopReason;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
@@ -241,27 +241,61 @@ impl TraceReport {
             .with("spans", spans)
     }
 
-    /// Renders the trace for `chrome://tracing` / Perfetto by re-using the
-    /// §11 metrics emitter: owner-thread spans land on lane 0 ("solve"),
-    /// chunk spans on one named lane per executing pool lane.
+    /// Renders the trace as a `chrome://tracing` / Perfetto-loadable JSON
+    /// document (served by `GET /traces/<id>?format=chrome`).
     pub fn to_chrome_trace(&self) -> String {
-        let mut lanes: Vec<(u32, String)> = vec![(0, format!("solve {}", self.annotation))];
-        let mut spans: Vec<metrics::TraceSpan> = Vec::with_capacity(self.spans.len());
-        for s in &self.spans {
-            let lane = if s.lane == OWNER_LANE { 0 } else { s.lane + 1 };
-            if s.lane != OWNER_LANE && !lanes.iter().any(|(l, _)| *l == lane) {
-                lanes.push((lane, format!("lane-{}", s.lane)));
-            }
-            spans.push(metrics::TraceSpan {
-                name: s.name,
-                lane,
-                start_ns: s.start_ns,
-                dur_ns: s.dur_ns,
-            });
-        }
-        lanes.sort_by_key(|(l, _)| *l);
-        metrics::chrome_trace_json(&lanes, &spans)
+        chrome_trace_json(&self.annotation, &self.spans)
     }
+}
+
+/// Chrome-trace (`chrome://tracing` / Perfetto) document for one span tree:
+/// named lanes plus one balanced `"B"`/`"E"` event pair per span, sorted by
+/// begin time so viewers reconstruct the nesting. Owner-thread spans land on
+/// lane 0 (`"solve <annotation>"`), chunk spans on one named lane per
+/// executing pool lane.
+fn chrome_trace_json(annotation: &str, spans: &[SpanRecord]) -> String {
+    let tid = |s: &SpanRecord| if s.lane == OWNER_LANE { 0 } else { s.lane + 1 };
+    let quote = |name: &str| crate::config::json::to_string(&Config::from(name));
+    let mut pool_lanes: Vec<u32> = spans
+        .iter()
+        .filter(|s| s.lane != OWNER_LANE)
+        .map(|s| s.lane)
+        .collect();
+    pool_lanes.sort_unstable();
+    pool_lanes.dedup();
+    let lanes = std::iter::once((0, format!("solve {annotation}")))
+        .chain(pool_lanes.into_iter().map(|l| (l + 1, format!("lane-{l}"))));
+
+    let mut out = String::from("{\"traceEvents\":[\n");
+    out.push_str(
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{\"name\":\"gko\"}}",
+    );
+    for (lane, name) in lanes {
+        let _ = write!(
+            out,
+            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\
+             \"args\":{{\"name\":{}}}}}",
+            quote(&name)
+        );
+    }
+    let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
+    sorted.sort_by_key(|s| (s.start_ns, std::cmp::Reverse(s.dur_ns)));
+    for s in sorted {
+        let begin_us = s.start_ns as f64 / 1000.0;
+        let end_us = (s.start_ns + s.dur_ns) as f64 / 1000.0;
+        let name = quote(s.name);
+        let _ = write!(
+            out,
+            ",\n{{\"name\":{name},\"ph\":\"B\",\"ts\":{begin_us:.3},\
+             \"pid\":1,\"tid\":{lane}}},\n\
+             {{\"name\":{name},\"ph\":\"E\",\"ts\":{end_us:.3},\
+             \"pid\":1,\"tid\":{lane}}}",
+            lane = tid(s)
+        );
+    }
+    out.push_str("\n]}\n");
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -985,5 +1019,48 @@ impl DispatchTrace {
             start_ns,
             dur_ns: end_ns.saturating_sub(start_ns),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A span as the Chrome export sees it (ids and parents are not drawn).
+    fn span(name: &'static str, lane: u32, start_ns: u64, dur_ns: u64) -> SpanRecord {
+        let kind = if lane == OWNER_LANE {
+            SpanKind::Kernel
+        } else {
+            SpanKind::Chunk
+        };
+        SpanRecord {
+            id: 0,
+            parent: 0,
+            kind,
+            name,
+            lane,
+            steal: false,
+            index: 0,
+            start_ns,
+            dur_ns,
+        }
+    }
+
+    #[test]
+    fn chrome_trace_pairs_are_balanced() {
+        let spans = [
+            span("inner", OWNER_LANE, 10, 10),
+            span("chunk", 2, 12, 5),
+            span("outer", OWNER_LANE, 0, 30),
+        ];
+        let trace = chrome_trace_json("solver::Cg", &spans);
+        let begins = trace.matches("\"ph\":\"B\"").count();
+        assert_eq!(begins, 3);
+        assert_eq!(begins, trace.matches("\"ph\":\"E\"").count());
+        // The owner lane is tid 0, pool lane 2 is tid 3; both are named.
+        assert!(trace.contains("\"tid\":0,\"args\":{\"name\":\"solve solver::Cg\"}"));
+        assert!(trace.contains("\"tid\":3,\"args\":{\"name\":\"lane-2\"}"));
+        // Sorted by begin time: the outer span opens first.
+        assert!(trace.find("\"outer\"") < trace.find("\"inner\""));
     }
 }

@@ -1,8 +1,7 @@
 //! Acceptance tests for the engine-wide metrics registry: inert fast path,
 //! histogram bucketing, end-to-end aggregation over real kernels, and
-//! exporter correctness (Prometheus text, Chrome-trace JSON).
+//! and Prometheus exporter correctness.
 
-use gko::config::Config;
 use gko::linop::LinOp;
 use gko::matrix::{Csr, Dense};
 use gko::metrics::{bucket_index, bucket_upper_bound, LatencyHistogram, HISTOGRAM_BUCKETS};
@@ -122,55 +121,6 @@ fn cg_solve_reports_per_kernel_quantiles_and_iterations() {
     let solve = snap.kernel("solver::Cg").unwrap();
     let spmv = snap.kernel("csr").unwrap();
     assert!(solve.virtual_ns.max >= spmv.virtual_ns.max);
-}
-
-#[test]
-fn chrome_trace_is_valid_json_with_balanced_spans() {
-    let exec = Executor::reference();
-    let a = Arc::new(poisson_csr(&exec, 128));
-    exec.enable_metrics();
-    let solver = Cg::new(a.clone())
-        .unwrap()
-        .with_criteria(Criteria::iterations(10));
-    let b = Dense::<f64>::filled(&exec, Dim2::new(128, 1), 1.0);
-    let mut x = Dense::<f64>::zeros(&exec, Dim2::new(128, 1));
-    solver.apply(&b, &mut x).unwrap();
-
-    let snap = exec.metrics_snapshot().unwrap();
-    assert!(!snap.spans.is_empty());
-    let trace = snap.to_chrome_trace();
-
-    // Must parse with the engine's own (strict, RFC 8259) JSON parser.
-    let doc = Config::from_json(&trace).expect("chrome trace is valid JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .expect("traceEvents array");
-    let mut depth_by_lane: std::collections::BTreeMap<i64, i64> = Default::default();
-    let (mut begins, mut ends, mut metas) = (0u64, 0u64, 0u64);
-    for ev in events {
-        let ph = ev.get("ph").and_then(|p| p.as_str()).expect("ph field");
-        let tid = ev.get("tid").and_then(|t| t.as_int()).expect("tid field");
-        match ph {
-            "B" => {
-                begins += 1;
-                *depth_by_lane.entry(tid).or_default() += 1;
-            }
-            "E" => {
-                ends += 1;
-                let d = depth_by_lane.entry(tid).or_default();
-                *d -= 1;
-                assert!(*d >= 0, "E without matching B on lane {tid}");
-            }
-            "M" => metas += 1,
-            other => panic!("unexpected phase {other}"),
-        }
-        assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
-    }
-    assert_eq!(begins, ends, "balanced begin/end pairs");
-    assert_eq!(begins, snap.spans.len() as u64);
-    assert!(metas >= 2, "process_name + at least one thread_name");
-    assert!(depth_by_lane.values().all(|&d| d == 0));
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! pool yields one rooted span tree whose per-lane chunk spans exactly tile
 //! every pool dispatch; anomalous solves are always retained while healthy
 //! ones head-sample 1-in-N; slow solves are retained by the latency
-//! threshold; and the inert/disarmed paths observe nothing.
+//! threshold; the Chrome-trace export is balanced, strict JSON; and the
+//! inert/disarmed paths observe nothing.
 
 use gko::linop::LinOp;
 use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
@@ -172,6 +173,58 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
         .get("traceEvents")
         .and_then(|e| e.as_array())
         .is_some_and(|e| !e.is_empty()));
+    exec.disable_tracing();
+}
+
+/// The Chrome-trace export of a span tree parses as strict JSON, carries
+/// `M` metadata naming the process and lanes, and renders every span as one
+/// balanced `B`/`E` pair on its lane.
+#[test]
+fn chrome_trace_is_valid_json_with_balanced_spans() {
+    let exec = Executor::omp(4);
+    exec.enable_flight_recorder_with(quiet_detectors());
+    exec.enable_tracing(1);
+    let a = Arc::new(poisson_csr(&exec, 128));
+    let solver = Cg::new(a).unwrap().with_criteria(Criteria::iterations(10));
+    let b = Dense::<f64>::filled(&exec, Dim2::new(128, 1), 1.0);
+    let mut x = Dense::<f64>::zeros(&exec, Dim2::new(128, 1));
+    solver.apply(&b, &mut x).unwrap();
+
+    let report = exec.tracer().latest().expect("sample_n=1 retains the solve");
+    assert!(!report.spans.is_empty());
+    let trace = report.to_chrome_trace();
+
+    // Must parse with the engine's own (strict, RFC 8259) JSON parser.
+    let doc = gko::config::Config::from_json(&trace).expect("chrome trace is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array");
+    let mut depth_by_lane: std::collections::BTreeMap<i64, i64> = Default::default();
+    let (mut begins, mut ends, mut metas) = (0u64, 0u64, 0u64);
+    for ev in events {
+        let ph = ev.get("ph").and_then(|p| p.as_str()).expect("ph field");
+        let tid = ev.get("tid").and_then(|t| t.as_int()).expect("tid field");
+        match ph {
+            "B" => {
+                begins += 1;
+                *depth_by_lane.entry(tid).or_default() += 1;
+            }
+            "E" => {
+                ends += 1;
+                let d = depth_by_lane.entry(tid).or_default();
+                *d -= 1;
+                assert!(*d >= 0, "E without matching B on lane {tid}");
+            }
+            "M" => metas += 1,
+            other => panic!("unexpected phase {other}"),
+        }
+        assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
+    }
+    assert_eq!(begins, ends, "balanced begin/end pairs");
+    assert_eq!(begins, report.spans.len() as u64);
+    assert!(metas >= 2, "process_name + at least one thread_name");
+    assert!(depth_by_lane.values().all(|&d| d == 0));
     exec.disable_tracing();
 }
 
