@@ -17,7 +17,7 @@ use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_baselines::cupy::CupyGmres;
 use pygko_baselines::gpu_executor;
-use pygko_bench::{cast_triplets, fmt, solver_iters, time_spmv, Report};
+use pygko_bench::{cast_triplets, fmt, solver_iters, time_per_iter, time_spmv, Report};
 use pygko_matgen::generators::{poisson2d, rmat};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,20 +85,12 @@ fn gmres_variant() {
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let b = Dense::<f64>::vector(&gk, gen.rows, 1.0);
-        let mut x = Dense::<f64>::vector(&gk, gen.rows, 0.0);
-        let t0 = gk.timeline().snapshot();
-        solver.apply(&b, &mut x).unwrap();
-        let gko_tpi = gk.timeline().snapshot().since(&t0).seconds() / iters as f64;
+        let gko_tpi = time_per_iter(&gk, &solver, solver.logger());
 
         let cu = gpu_executor("CuPy-style");
         let a_cu = Arc::new(Csr::<f64, i32>::from_triplets(&cu, dim, &t64).unwrap());
         let solver = CupyGmres::new(a_cu, 30, criteria);
-        let b = Dense::<f64>::vector(&cu, gen.rows, 1.0);
-        let mut x = Dense::<f64>::vector(&cu, gen.rows, 0.0);
-        let t0 = cu.timeline().snapshot();
-        solver.apply(&b, &mut x).unwrap();
-        let cupy_tpi = cu.timeline().snapshot().since(&t0).seconds() / iters as f64;
+        let cupy_tpi = time_per_iter(&cu, &solver, solver.logger());
 
         report.row(vec![
             gen.rows.to_string(),

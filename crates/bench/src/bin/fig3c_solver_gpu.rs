@@ -1,36 +1,13 @@
 //! Figure 3c: iterative solvers on the (simulated) A100 — pyGinkgo's
 //! speedup in *time per iteration* relative to CuPy for CG, CGS, and
-//! GMRES(30), double precision, no preconditioner, fixed iteration count,
-//! over the 40-matrix solver suite.
+//! GMRES(30), double precision, no preconditioner, a fixed iteration cap
+//! (time is divided by the iterations each solver completed), over the
+//! 40-matrix solver suite.
 //!
 //! `cargo run -p pygko-bench --bin fig3c_solver_gpu --release`
 
-use gko::linop::LinOp;
-use gko::matrix::{Csr, Dense};
-use gko::solver::{Cg, Cgs, Gmres};
-use gko::stop::Criteria;
-use gko::{Dim2, Executor};
-use pygko_baselines::cupy::{CupyGmres, CupyKrylov};
-use pygko_baselines::gpu_executor;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, Report};
+use pygko_bench::{fig3c_speedups, fmt, maybe_shrink, solver_iters, Report};
 use pygko_matgen::solver_suite;
-use std::sync::Arc;
-
-/// Runs a solver to the iteration cap and returns virtual seconds per
-/// iteration charged to `exec`.
-fn time_per_iter<V: gko::Value>(
-    exec: &Executor,
-    solver: &dyn LinOp<V>,
-    n: usize,
-    iters: usize,
-) -> f64 {
-    let b = Dense::<V>::filled(exec, Dim2::new(n, 1), V::one());
-    let mut x = Dense::<V>::zeros(exec, Dim2::new(n, 1));
-    let t0 = exec.timeline().snapshot();
-    solver.apply(&b, &mut x).expect("solve");
-    exec.synchronize();
-    exec.timeline().snapshot().since(&t0).seconds() / iters as f64
-}
 
 fn main() {
     let iters = solver_iters();
@@ -46,43 +23,8 @@ fn main() {
 
     for info in maybe_shrink(solver_suite()) {
         let gen = info.generate();
-        let n = gen.rows;
         let nnz = gen.nnz();
-        let t64 = cast_triplets::<f64>(&gen);
-        let dim = Dim2::new(n, n);
-        let criteria = Criteria::iterations(iters);
-
-        // pyGinkgo on its executor.
-        let gk = Executor::cuda(0);
-        let a_gk = Arc::new(Csr::<f64, i32>::from_triplets(&gk, dim, &t64).unwrap());
-
-        // CuPy on its executor; the same algorithm skeletons run over the
-        // warp-per-row SpMV, except GMRES which is CuPy's own variant.
-        let cu = gpu_executor("CuPy");
-        let a_cu = Arc::new(Csr::<f64, i32>::from_triplets(&cu, dim, &t64).unwrap());
-
-        // CG.
-        let s = Cg::new(a_gk.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
-        let gko_cg = time_per_iter(&gk, &s, n, iters);
-        let s = CupyKrylov::cg(a_cu.clone(), criteria).unwrap();
-        let cupy_cg = time_per_iter(&cu, &s, n, iters);
-
-        // CGS.
-        let s = Cgs::new(a_gk.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
-        let gko_cgs = time_per_iter(&gk, &s, n, iters);
-        let s = CupyKrylov::cgs(a_cu.clone(), criteria).unwrap();
-        let cupy_cgs = time_per_iter(&cu, &s, n, iters);
-
-        // GMRES(30): Ginkgo's Givens/device variant vs CuPy's CPU variant.
-        let s = Gmres::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
-            .unwrap()
-            .with_krylov_dim(30)
-            .with_criteria(criteria);
-        let gko_gmres = time_per_iter(&gk, &s, n, iters);
-        let s = CupyGmres::new(a_cu.clone(), 30, criteria);
-        let cupy_gmres = time_per_iter(&cu, &s, n, iters);
-
-        let sp = [cupy_cg / gko_cg, cupy_cgs / gko_cgs, cupy_gmres / gko_gmres];
+        let sp = fig3c_speedups(&gen, iters);
         for (acc, v) in sums.iter_mut().zip(sp) {
             *acc += v;
         }

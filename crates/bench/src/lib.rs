@@ -18,12 +18,18 @@
 #![warn(missing_docs)]
 
 use gko::linop::LinOp;
-use gko::matrix::Dense;
+use gko::log::ConvergenceLogger;
+use gko::matrix::{Csr, Dense};
+use gko::solver::{Cg, Cgs, Gmres};
+use gko::stop::Criteria;
 use gko::{Dim2, Executor, Value};
+use pygko_baselines::cupy::{CupyGmres, CupyKrylov};
+use pygko_baselines::gpu_executor;
 use pygko_matgen::{GeneratedMatrix, MatrixInfo};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// True when a quick (reduced-size) run was requested.
 pub fn quick_mode() -> bool {
@@ -69,6 +75,65 @@ pub fn time_spmv<V: Value>(exec: &Executor, op: &dyn LinOp<V>, n_cols: usize) ->
     op.apply(&b, &mut x).expect("spmv");
     exec.synchronize();
     exec.timeline().snapshot().since(&t0).seconds()
+}
+
+/// Solves `A x = 1` from `x = 0` with `solver` and returns the virtual
+/// seconds charged to `exec` per iteration the solver *completed*, as its
+/// `logger` counts them. Dividing by the requested count instead would make
+/// a solver that stops early (breakdown, convergence) read falsely fast.
+pub fn time_per_iter<V: Value>(
+    exec: &Executor,
+    solver: &dyn LinOp<V>,
+    logger: &ConvergenceLogger,
+) -> f64 {
+    let n = solver.size().rows;
+    let b = Dense::<V>::filled(exec, Dim2::new(n, 1), V::one());
+    let mut x = Dense::<V>::zeros(exec, Dim2::new(n, 1));
+    let t0 = exec.timeline().snapshot();
+    solver.apply(&b, &mut x).expect("solve");
+    exec.synchronize();
+    let seconds = exec.timeline().snapshot().since(&t0).seconds();
+    seconds / logger.snapshot().iterations.max(1) as f64
+}
+
+/// One row of Figure 3c: pyGinkgo's speedup over CuPy in virtual time per
+/// completed iteration for `[CG, CGS, GMRES(30)]` on one solver-suite
+/// matrix, fp64, no preconditioner, `iters` iterations at most. Each
+/// library runs on its own executor, the solvers in this order.
+pub fn fig3c_speedups(gen: &GeneratedMatrix, iters: usize) -> [f64; 3] {
+    let t64 = cast_triplets::<f64>(gen);
+    let dim = Dim2::new(gen.rows, gen.cols);
+    let criteria = Criteria::iterations(iters);
+
+    // pyGinkgo on its executor.
+    let gk = Executor::cuda(0);
+    let a_gk: Arc<dyn LinOp<f64>> =
+        Arc::new(Csr::<f64, i32>::from_triplets(&gk, dim, &t64).unwrap());
+    // CuPy on its executor; the same algorithm skeletons run over the
+    // warp-per-row SpMV, except GMRES which is CuPy's own variant.
+    let cu = gpu_executor("CuPy");
+    let a_cu = Arc::new(Csr::<f64, i32>::from_triplets(&cu, dim, &t64).unwrap());
+
+    let s = Cg::new(a_gk.clone()).unwrap().with_criteria(criteria);
+    let gko_cg = time_per_iter(&gk, &s, s.logger());
+    let s = CupyKrylov::cg(a_cu.clone(), criteria).unwrap();
+    let cupy_cg = time_per_iter(&cu, &s, s.logger());
+
+    let s = Cgs::new(a_gk.clone()).unwrap().with_criteria(criteria);
+    let gko_cgs = time_per_iter(&gk, &s, s.logger());
+    let s = CupyKrylov::cgs(a_cu.clone(), criteria).unwrap();
+    let cupy_cgs = time_per_iter(&cu, &s, s.logger());
+
+    // GMRES(30): Ginkgo's Givens/device variant vs CuPy's CPU variant.
+    let s = Gmres::new(a_gk)
+        .unwrap()
+        .with_krylov_dim(30)
+        .with_criteria(criteria);
+    let gko_gmres = time_per_iter(&gk, &s, s.logger());
+    let s = CupyGmres::new(a_cu, 30, criteria);
+    let cupy_gmres = time_per_iter(&cu, &s, s.logger());
+
+    [cupy_cg / gko_cg, cupy_cgs / gko_cgs, cupy_gmres / gko_gmres]
 }
 
 /// GFLOP/s of an SpMV given its nonzero count and virtual seconds.

@@ -481,38 +481,29 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
 }
 
 /// Shared view of the pre-split output pieces, indexable from any lane.
-struct PieceTable<'a, T>(*mut &'a mut [T]);
+struct PieceTable<P>(*mut P);
 
 // SAFETY: each piece index is delivered to exactly one lane per job (see
 // `ChunkQueue`), so concurrent `&mut` access is disjoint.
-unsafe impl<T: Send> Send for PieceTable<'_, T> {}
-unsafe impl<T: Send> Sync for PieceTable<'_, T> {}
+unsafe impl<P: Send> Send for PieceTable<P> {}
+unsafe impl<P: Send> Sync for PieceTable<P> {}
 
-impl<'a, T> PieceTable<'a, T> {
+impl<P> PieceTable<P> {
     /// # Safety
     ///
     /// `i` must be in bounds and held by at most one lane at a time.
     #[allow(clippy::mut_from_ref)] // exclusivity is the caller's contract above
-    unsafe fn piece(&self, i: usize) -> &mut &'a mut [T] {
+    unsafe fn piece(&self, i: usize) -> &mut P {
         &mut *self.0.add(i)
     }
 }
 
-/// Splits `out` at the given chunk boundaries and applies
-/// `f(chunk_index, chunk_slice)` to every chunk on `exec`'s worker pool
-/// (serially when the executor has a single functional thread).
-///
-/// `bounds` must be non-decreasing, start at 0, and end at `out.len()`;
-/// chunk `i` receives `out[bounds[i]..bounds[i+1]]`.
+/// Splits `out` at chunk boundaries: piece `i` is `out[bounds[i]..bounds[i+1]]`.
 ///
 /// # Panics
 ///
-/// Panics if the bounds are malformed or if any chunk closure panics.
-pub fn parallel_chunks<T, F>(exec: &Executor, out: &mut [T], bounds: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
+/// Panics if the bounds are malformed.
+fn split_at_bounds<'a, T>(out: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
     assert!(!bounds.is_empty(), "bounds must contain at least [0]");
     assert_eq!(bounds[0], 0, "bounds must start at 0");
     assert_eq!(
@@ -521,36 +512,43 @@ where
         out.len(),
         "bounds must end at the slice length"
     );
-    let chunks = bounds.len() - 1;
-    if chunks == 0 {
-        return;
-    }
-
-    let pool = exec.worker_pool();
-    if pool.is_none() || chunks == 1 {
-        let mut rest = out;
-        for i in 0..chunks {
-            let len = bounds[i + 1] - bounds[i];
-            let (head, tail) = rest.split_at_mut(len);
-            f(i, head);
-            rest = tail;
-        }
-        return;
-    }
-
-    // Pre-split the output into disjoint sub-slices; lanes fetch chunk
-    // indices from the pool queues and look their slice up by index.
-    let mut pieces: Vec<&mut [T]> = Vec::with_capacity(chunks);
+    let mut pieces = Vec::with_capacity(bounds.len() - 1);
     let mut rest = out;
-    for i in 0..chunks {
-        let len = bounds[i + 1] - bounds[i];
-        let (head, tail) = rest.split_at_mut(len);
+    for w in bounds.windows(2) {
+        let (head, tail) = rest.split_at_mut(w[1] - w[0]);
         pieces.push(head);
         rest = tail;
     }
+    pieces
+}
+
+/// Applies `f(chunk_index, piece)` to every piece in ONE dispatch on
+/// `exec`'s worker pool (serially when the executor has a single functional
+/// thread or there is a single piece). Every parallel helper below funnels
+/// through here, so all of them share the sanitizer claim log, the trace
+/// dispatch span and the `PoolDispatch` event.
+fn run_pieces<P, F>(exec: &Executor, pieces: &mut [P], f: F)
+where
+    P: Send,
+    F: Fn(usize, &mut P) + Sync,
+{
+    let chunks = pieces.len();
+    if chunks == 0 {
+        return;
+    }
+    let pool = match exec.worker_pool() {
+        Some(pool) if chunks > 1 => pool,
+        _ => {
+            for (i, piece) in pieces.iter_mut().enumerate() {
+                f(i, piece);
+            }
+            return;
+        }
+    };
+
+    // Lanes fetch chunk indices from the pool queues and look their piece
+    // up by index.
     let table = PieceTable(pieces.as_mut_ptr());
-    // lint: allow(panic): the `pool.is_none()` case returned above.
-    let pool = pool.unwrap();
     // Only pay for counter snapshots when someone is listening.
     let stats_before = exec
         .loggers()
@@ -624,6 +622,62 @@ where
     }
 }
 
+/// Splits `out` at the given chunk boundaries and applies
+/// `f(chunk_index, chunk_slice)` to every chunk on `exec`'s worker pool
+/// (serially when the executor has a single functional thread).
+///
+/// `bounds` must be non-decreasing, start at 0, and end at `out.len()`;
+/// chunk `i` receives `out[bounds[i]..bounds[i+1]]`.
+///
+/// # Panics
+///
+/// Panics if the bounds are malformed or if any chunk closure panics.
+pub fn parallel_chunks<T, F>(exec: &Executor, out: &mut [T], bounds: &[usize], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let mut pieces = split_at_bounds(out, bounds);
+    run_pieces(exec, &mut pieces, |i, piece| f(i, piece));
+}
+
+/// The two-output form of [`parallel_chunks`], for fused kernels that
+/// update two arrays in one pass: splits `a` at `a_bounds` and `b` at
+/// `b_bounds` (the same number of chunks), applies
+/// `f(chunk_index, a_chunk, b_chunk)` to every chunk in one dispatch, and
+/// returns each chunk's result in chunk order (so reductions over them are
+/// deterministic regardless of scheduling).
+///
+/// # Panics
+///
+/// Panics if either bounds array is malformed, if the chunk counts differ,
+/// or if any chunk closure panics.
+pub fn parallel_chunks2<A, B, R, F>(
+    exec: &Executor,
+    (a, a_bounds): (&mut [A], &[usize]),
+    (b, b_bounds): (&mut [B], &[usize]),
+    f: F,
+) -> Vec<R>
+where
+    A: Send,
+    B: Send,
+    R: Send + Default,
+    F: Fn(usize, &mut [A], &mut [B]) -> R + Sync,
+{
+    assert_eq!(
+        a_bounds.len(),
+        b_bounds.len(),
+        "both outputs must split into the same number of chunks"
+    );
+    let mut pieces: Vec<(&mut [A], &mut [B], R)> = split_at_bounds(a, a_bounds)
+        .into_iter()
+        .zip(split_at_bounds(b, b_bounds))
+        .map(|(a, b)| (a, b, R::default()))
+        .collect();
+    run_pieces(exec, &mut pieces, |i, (a, b, res)| *res = f(i, a, b));
+    pieces.into_iter().map(|(_, _, res)| res).collect()
+}
+
 /// Computes one `f64` partial result per chunk in parallel and returns the
 /// partials in chunk order (so reductions are deterministic regardless of
 /// scheduling).
@@ -632,10 +686,7 @@ where
     F: Fn(usize) -> f64 + Sync,
 {
     let mut partials = vec![0.0f64; chunks];
-    let bounds: Vec<usize> = (0..=chunks).collect();
-    parallel_chunks(exec, &mut partials, &bounds, |i, slot| {
-        slot[0] = f(i);
-    });
+    run_pieces(exec, &mut partials, |i, slot| *slot = f(i));
     partials
 }
 

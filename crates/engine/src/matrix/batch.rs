@@ -27,7 +27,7 @@ use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
-use crate::executor::pool::{parallel_chunks, uniform_bounds};
+use crate::executor::pool::{parallel_chunks, parallel_chunks2, uniform_bounds};
 use crate::executor::Executor;
 use crate::log::OpTimer;
 use crate::matrix::csr::{dot_span, Csr, SpmvStrategy};
@@ -409,6 +409,93 @@ impl<V: Value> BatchDense<V> {
         });
         exec.launch(&work);
         Ok(())
+    }
+
+    /// Fused batched CG step 2 on the residual batch `self`: for every
+    /// active system, `x[s] += alpha[s] * p[s]` and
+    /// `self[s] -= alpha[s] * q[s]` in one pass, with the new squared
+    /// residual norm `self[s] · self[s]` written to `rr[s]` (inactive slots
+    /// are left untouched).
+    ///
+    /// One pool dispatch replaces [`axpy`](Self::axpy) twice and
+    /// [`norms2`](Self::norms2); `rr[s].sqrt()` is bit-identical to what
+    /// `norms2` returns, and the virtual timeline is charged for those
+    /// three kernels, in their order.
+    pub fn cg_step_2(
+        &mut self,
+        x: &mut BatchDense<V>,
+        p: &BatchDense<V>,
+        q: &BatchDense<V>,
+        alpha: &[f64],
+        active: Option<&[bool]>,
+        rr: &mut [f64],
+    ) -> Result<()> {
+        for other in [&*x, p, q] {
+            self.check_compatible(other, "batch cg_step_2")?;
+        }
+        self.check_coeffs(alpha, "batch cg_step_2")?;
+        self.check_coeffs(rr, "batch cg_step_2")?;
+        check_mask(active, self.num_systems, "batch cg_step_2")?;
+        let _timer = OpTimer::new(self.executor(), "batch_dense::cg_step_2");
+        let exec = self.executor().clone();
+        let (sys_bounds, r_bounds) = self.system_bounds();
+        let x_bounds: Vec<usize> = sys_bounds.iter().map(|&s| s * x.stride).collect();
+        let axpy = self.masked_work(&sys_bounds, active, 3, 2.0);
+        let norms = self.masked_work(&sys_bounds, active, 1, 2.0);
+        let count = self.size.count();
+        let (r_stride, x_stride) = (self.stride, x.stride);
+        let (p_stride, q_stride) = (p.stride, q.stride);
+        let (pv, qv) = (p.values.as_slice(), q.values.as_slice());
+        let chunk_rr = parallel_chunks2(
+            &exec,
+            (x.values.as_mut_slice(), &x_bounds),
+            (self.values.as_mut_slice(), &r_bounds),
+            |ci, xs, rs| -> Vec<f64> {
+                let sys_lo = sys_bounds[ci];
+                (sys_lo..sys_bounds[ci + 1])
+                    .map(|s| {
+                        if !is_active(active, s) {
+                            return 0.0;
+                        }
+                        let (a, neg_a) = (V::from_f64(alpha[s]), V::from_f64(-alpha[s]));
+                        let local = s - sys_lo;
+                        let xd = &mut xs[local * x_stride..local * x_stride + count];
+                        let rd = &mut rs[local * r_stride..local * r_stride + count];
+                        let ps = &pv[s * p_stride..s * p_stride + count];
+                        let qs = &qv[s * q_stride..s * q_stride + count];
+                        for (xe, &pe) in xd.iter_mut().zip(ps) {
+                            *xe += a * pe;
+                        }
+                        let mut acc = 0.0f64;
+                        for (re, &qe) in rd.iter_mut().zip(qs) {
+                            *re += neg_a * qe;
+                            let f = re.to_f64();
+                            acc += f * f;
+                        }
+                        acc
+                    })
+                    .collect()
+            },
+        );
+        for (s, value) in chunk_rr.into_iter().flatten().enumerate() {
+            if is_active(active, s) {
+                rr[s] = value;
+            }
+        }
+        exec.launch(&axpy);
+        exec.launch(&axpy);
+        exec.launch(&norms);
+        Ok(())
+    }
+
+    /// Charges the virtual timeline for [`dots`](Self::dots) of `self` with
+    /// itself over the active systems, without running it: the `rho = r · r`
+    /// that [`BatchCg`](crate::solver::BatchCg) takes from
+    /// [`cg_step_2`](Self::cg_step_2) instead.
+    pub(crate) fn charge_dots(&self, active: Option<&[bool]>) {
+        let (sys_bounds, _) = self.system_bounds();
+        self.executor()
+            .launch(&self.masked_work(&sys_bounds, active, 2, 2.0));
     }
 }
 

@@ -10,7 +10,9 @@ use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
-use crate::executor::pool::{parallel_chunks, parallel_partials, tree_reduce, uniform_bounds};
+use crate::executor::pool::{
+    parallel_chunks, parallel_chunks2, parallel_partials, tree_reduce, uniform_bounds,
+};
 use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
@@ -170,11 +172,10 @@ impl<V: Value> Dense<V> {
     pub fn copy_from(&mut self, other: &Dense<V>) -> Result<()> {
         self.check_same_shape(other, "copy")?;
         let _timer = OpTimer::new(self.executor(), "dense::copy");
-        let work = self.stream_kernel(2, 0.0);
         self.values
             .as_mut_slice()
             .copy_from_slice(other.values.as_slice());
-        self.executor().launch(&work);
+        self.charge_copy();
         Ok(())
     }
 
@@ -264,6 +265,73 @@ impl<V: Value> Dense<V> {
         // lint: allow(panic): dot of a vector with itself cannot have a
         // dimension mismatch.
         self.compute_dot(self).expect("dot with self").sqrt()
+    }
+
+    /// Fused CG step 2 (Ginkgo's `cg::step_2`) on the residual `self`:
+    /// `x += alpha * p` and `self -= alpha * q` in one pass, returning the
+    /// new `self · self` (squared residual norm, and CG's `rho` when there is
+    /// no preconditioner).
+    ///
+    /// One pool dispatch replaces the axpy, axpy and norm kernels, and the
+    /// result is bit-identical to that sequence: the same chunks, the same
+    /// per-element arithmetic and the same per-chunk left-to-right `f64`
+    /// sum combined by [`tree_reduce`]. The virtual timeline is charged for
+    /// those three kernels, in their order (DESIGN.md §5).
+    pub fn cg_step_2(
+        &mut self,
+        x: &mut Dense<V>,
+        p: &Dense<V>,
+        q: &Dense<V>,
+        alpha: f64,
+    ) -> Result<f64> {
+        for other in [&*x, p, q] {
+            self.check_same_shape(other, "cg_step_2")?;
+        }
+        let _timer = OpTimer::new(self.executor(), "dense::cg_step_2");
+        let axpy = self.stream_kernel(3, 2.0);
+        let norm = self.stream_kernel(2, 2.0);
+        let exec = self.executor().clone();
+        let bounds = uniform_bounds(self.size.count(), axpy.len());
+        let (p, q) = (p.values.as_slice(), q.values.as_slice());
+        let (alpha, neg_alpha) = (V::from_f64(alpha), V::from_f64(-alpha));
+        let partials = parallel_chunks2(
+            &exec,
+            (x.values.as_mut_slice(), &bounds),
+            (self.values.as_mut_slice(), &bounds),
+            |i, xs, rs| -> f64 {
+                let (lo, hi) = (bounds[i], bounds[i + 1]);
+                xs.iter_mut()
+                    .zip(rs.iter_mut())
+                    .zip(&p[lo..hi])
+                    .zip(&q[lo..hi])
+                    .map(|(((x, r), &pv), &qv)| {
+                        *x += alpha * pv;
+                        *r += neg_alpha * qv;
+                        r.to_f64() * r.to_f64()
+                    })
+                    .sum()
+            },
+        );
+        exec.launch(&axpy);
+        exec.launch(&axpy);
+        exec.launch(&norm);
+        Ok(tree_reduce(&partials))
+    }
+
+    /// Charges the virtual timeline for a [`copy_from`](Self::copy_from)
+    /// into `self` without running it. [`Cg`](crate::solver::Cg) elides the
+    /// identity preconditioner's copy on the host, but the modelled device
+    /// runs it, as the paper's Ginkgo does (DESIGN.md §5).
+    pub(crate) fn charge_copy(&self) {
+        self.executor().launch(&self.stream_kernel(2, 0.0));
+    }
+
+    /// Charges the virtual timeline for a [`compute_dot`](Self::compute_dot)
+    /// on `self` without running it (the `r · z` dot that
+    /// [`Cg`](crate::solver::Cg) takes from [`cg_step_2`](Self::cg_step_2)
+    /// when `z == r`).
+    pub(crate) fn charge_dot(&self) {
+        self.executor().launch(&self.stream_kernel(2, 2.0));
     }
 
     /// Copy converted to another value type (Ginkgo's

@@ -265,9 +265,8 @@ impl<V: Value, I: Index> BatchCg<V, I> {
         r.dots(&r, Some(&st.active), &mut rho)?;
 
         let mut pq = vec![0.0; s_count];
-        let mut res = vec![0.0; s_count];
+        let mut rr = vec![0.0; s_count];
         let mut coeff = vec![0.0; s_count];
-        let mut rho_new = vec![0.0; s_count];
         let mut iter = 0usize;
         while st.any_active() {
             iter += 1;
@@ -285,16 +284,13 @@ impl<V: Value, I: Index> BatchCg<V, I> {
             for s in 0..s_count {
                 coeff[s] = if st.active[s] { rho[s] / pq[s] } else { 0.0 };
             }
-            x.axpy(&coeff, &p, Some(&st.active))?;
-            for c in coeff.iter_mut() {
-                *c = -*c;
-            }
-            r.axpy(&coeff, &q, Some(&st.active))?;
-            r.norms2(Some(&st.active), &mut res)?;
-            for (s, &res_s) in res.iter().enumerate() {
+            // Step 2: x += alpha p, r -= alpha q, rr = r · r.
+            r.cg_step_2(x, &p, &q, &coeff, Some(&st.active), &mut rr)?;
+            for (s, &rr_s) in rr.iter().enumerate() {
                 if !st.active[s] {
                     continue;
                 }
+                let res_s = rr_s.sqrt();
                 st.final_res[s] = res_s;
                 if let Some(reason) = core.criteria.check(iter, res_s, st.baseline[s]) {
                     st.finish(s, iter, res_s, reason);
@@ -303,14 +299,16 @@ impl<V: Value, I: Index> BatchCg<V, I> {
             if !st.any_active() {
                 break;
             }
-            r.dots(&r, Some(&st.active), &mut rho_new)?;
+            // rho_new = r · r comes from step 2; the model still charges
+            // the dots kernel it replaces (DESIGN.md §5).
+            r.charge_dots(Some(&st.active));
             for s in 0..s_count {
                 if st.active[s] {
-                    coeff[s] = rho_new[s] / rho[s];
-                    rho[s] = rho_new[s];
+                    coeff[s] = rr[s] / rho[s];
+                    rho[s] = rr[s];
                 }
             }
-            // p = r + beta * p
+            // Step 1: p = r + beta * p
             p.scale_add(&r, &coeff, Some(&st.active))?;
         }
         let record = st.into_record();

@@ -106,7 +106,7 @@ impl<V: Value> LinOp<V> for BiCgStab<V> {
                 p.add_scaled(V::from_f64(-omega), &v)?;
                 p.scale_add(V::one(), &r, V::from_f64(beta))?;
             }
-            core.precond.apply(&p, &mut p_hat)?;
+            core.precondition(&p, &mut p_hat)?;
             core.system.apply(&p_hat, &mut v)?;
             let denom = r_tilde.compute_dot(&v)?;
             if denom == 0.0 || !denom.is_finite() {
@@ -132,7 +132,7 @@ impl<V: Value> LinOp<V> for BiCgStab<V> {
                 }
             }
 
-            core.precond.apply(&s, &mut s_hat)?;
+            core.precondition(&s, &mut s_hat)?;
             core.system.apply(&s_hat, &mut t)?;
             let tt = t.compute_dot(&t)?;
             if tt == 0.0 || !tt.is_finite() {

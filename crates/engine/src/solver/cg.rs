@@ -69,6 +69,14 @@ impl<V: Value> LinOp<V> for Cg<V> {
 
     /// Solves `A x = b`; `x` holds the initial guess on entry and the
     /// solution on exit.
+    ///
+    /// Each iteration is four pool dispatches (Ginkgo's fused CG): the
+    /// SpMV `q = A p`, the dot `p · q`, [`Dense::cg_step_2`] (`x += alpha p`,
+    /// `r -= alpha q` and `r · r` in one pass) and step 1, `p = z + beta p`.
+    /// With a preconditioner, `z = M^{-1} r` and `rho = r · z` run between
+    /// the two steps; without one, `z` is `r` itself and `rho = r · r` comes
+    /// from step 2, so the identity's copy and second dot are elided (the
+    /// virtual timeline still charges them, DESIGN.md §5).
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
         let core = &self.core;
         core.check_vectors(b, x)?;
@@ -78,19 +86,33 @@ impl<V: Value> LinOp<V> for Cg<V> {
 
         let mut r = Dense::zeros(&exec, Dim2::new(n, 1));
         core.residual(b, x, &mut r)?;
-        let mut z = Dense::zeros(&exec, Dim2::new(n, 1));
-        core.precond.apply(&r, &mut z)?;
-        let mut p = z.clone();
+        // `z` exists only with a preconditioner.
+        let mut precond = core
+            .precond
+            .as_ref()
+            .map(|m| (m, Dense::zeros(&exec, Dim2::new(n, 1))));
+        match &mut precond {
+            Some((m, z)) => m.apply(&r, z)?,
+            None => r.charge_copy(),
+        }
+        let mut p = precond.as_ref().map_or(&r, |(_, z)| z).clone();
         let mut q = Dense::zeros(&exec, Dim2::new(n, 1));
 
-        let baseline = r.compute_norm2();
+        let rr = r.compute_dot(&r)?;
+        let baseline = rr.sqrt();
         core.logger.begin(baseline);
         if let Some(reason) = core.check(0, baseline, baseline) {
             core.logger.finish(0, reason);
             return Ok(());
         }
 
-        let mut rho = r.compute_dot(&z)?;
+        let mut rho = match &precond {
+            Some((_, z)) => r.compute_dot(z)?,
+            None => {
+                r.charge_dot();
+                rr
+            }
+        };
         let mut iter = 0usize;
         loop {
             iter += 1;
@@ -101,21 +123,30 @@ impl<V: Value> LinOp<V> for Cg<V> {
                 return Ok(());
             }
             let alpha = rho / pq;
-            x.add_scaled(V::from_f64(alpha), &p)?;
-            r.add_scaled(V::from_f64(-alpha), &q)?;
+            let rr = r.cg_step_2(x, &p, &q, alpha)?;
 
-            let res_norm = r.compute_norm2();
+            let res_norm = rr.sqrt();
             core.logger.record_residual(iter, res_norm);
             if let Some(reason) = core.check(iter, res_norm, baseline) {
                 core.logger.finish(iter, reason);
                 return Ok(());
             }
 
-            core.precond.apply(&r, &mut z)?;
-            let rho_new = r.compute_dot(&z)?;
+            let rho_new = match &mut precond {
+                Some((m, z)) => {
+                    m.apply(&r, z)?;
+                    r.compute_dot(z)?
+                }
+                None => {
+                    r.charge_copy();
+                    r.charge_dot();
+                    rr
+                }
+            };
             let beta = rho_new / rho;
-            // p = z + beta * p
-            p.scale_add(V::one(), &z, V::from_f64(beta))?;
+            // Step 1: p = z + beta * p
+            let z = precond.as_ref().map_or(&r, |(_, z)| z);
+            p.scale_add(V::one(), z, V::from_f64(beta))?;
             rho = rho_new;
         }
     }

@@ -115,7 +115,7 @@ impl<V: Value> LinOp<V> for Cgs<V> {
                 p.add_scaled(V::from_f64(beta), &t)?;
             }
             // v = A M^{-1} p
-            core.precond.apply(&p, &mut hat)?;
+            core.precondition(&p, &mut hat)?;
             core.system.apply(&hat, &mut v)?;
             let sigma = r_tilde.compute_dot(&v)?;
             if sigma == 0.0 || !sigma.is_finite() {
@@ -129,7 +129,7 @@ impl<V: Value> LinOp<V> for Cgs<V> {
             // hat = M^{-1} (u + q)
             t.copy_from(&u)?;
             t.add_scaled(V::one(), &q)?;
-            core.precond.apply(&t, &mut hat)?;
+            core.precondition(&t, &mut hat)?;
             // x += alpha * hat;  r -= alpha * A hat
             x.add_scaled(V::from_f64(alpha), &hat)?;
             core.system.apply(&hat, &mut t)?;

@@ -78,7 +78,7 @@ impl<V: Value> LinOp<V> for Fcg<V> {
         let mut r = Dense::zeros(&exec, dim);
         core.residual(b, x, &mut r)?;
         let mut z = Dense::zeros(&exec, dim);
-        core.precond.apply(&r, &mut z)?;
+        core.precondition(&r, &mut z)?;
         let mut p = z.clone();
         let mut q = Dense::zeros(&exec, dim);
         let mut r_old = r.clone();
@@ -112,7 +112,7 @@ impl<V: Value> LinOp<V> for Fcg<V> {
                 return Ok(());
             }
 
-            core.precond.apply(&r, &mut z)?;
+            core.precondition(&r, &mut z)?;
             // Polak-Ribière: beta = <r - r_old, z> / rho_old.
             let rz = r.compute_dot(&z)?;
             let r_old_z = r_old.compute_dot(&z)?;

@@ -137,7 +137,7 @@ impl<V: Value> Gmres<V> {
             u.add_scaled(V::from_f64(*yi), &basis[i])?;
         }
         let mut z = Dense::zeros(&exec, x.size());
-        self.core.precond.apply(&u, &mut z)?;
+        self.core.precondition(&u, &mut z)?;
         x.add_scaled(V::one(), &z)?;
         Ok(())
     }
@@ -219,7 +219,7 @@ impl<V: Value> LinOp<V> for Gmres<V> {
             for j in 0..m {
                 total_iters += 1;
                 // w = A M^{-1} v_j
-                core.precond.apply(&basis[j], &mut z)?;
+                core.precondition(&basis[j], &mut z)?;
                 core.system.apply(&z, &mut w)?;
 
                 // Modified Gram–Schmidt orthogonalization. Ginkgo fuses

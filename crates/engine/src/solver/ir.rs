@@ -94,7 +94,7 @@ impl<V: Value> LinOp<V> for Ir<V> {
         let mut iter = 0usize;
         loop {
             iter += 1;
-            core.precond.apply(&r, &mut d)?;
+            core.precondition(&r, &mut d)?;
             x.add_scaled(V::from_f64(self.omega), &d)?;
             core.residual(b, x, &mut r)?;
             let res = r.compute_norm2();

@@ -72,14 +72,16 @@ pub use triangular::{LowerTrs, UpperTrs};
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
-use crate::linop::{Identity, LinOp};
+use crate::linop::LinOp;
 use crate::log::{Event, Logger, LoggerRegistry};
 use crate::matrix::dense::Dense;
 use crate::stop::StopReason;
 use std::sync::Arc;
 
 /// Shared state of every iterative solver: the system operator, an optional
-/// preconditioner (identity when absent), stopping criteria, and a logger.
+/// preconditioner (identity when absent: [`precondition`](Self::precondition)
+/// copies, and [`Cg`](cg::Cg) skips even the copy), stopping criteria, and a
+/// logger.
 ///
 /// Every iterative solver also carries a [`LoggerRegistry`] of its own:
 /// iteration, criterion-check, and solve-completion events are delivered
@@ -90,7 +92,8 @@ use std::sync::Arc;
 /// solver events twice — attach to one or the other.
 pub(crate) struct SolverCore<V: Value> {
     pub system: Arc<dyn LinOp<V>>,
-    pub precond: Arc<dyn LinOp<V>>,
+    /// `None` means no preconditioner (the identity).
+    pub precond: Option<Arc<dyn LinOp<V>>>,
     pub criteria: crate::stop::Criteria,
     pub logger: crate::log::ConvergenceLogger,
     /// Solver display name used in emitted events (e.g. `"solver::Cg"`).
@@ -109,8 +112,6 @@ impl<V: Value> SolverCore<V> {
                 system.size()
             )));
         }
-        let n = system.size().rows;
-        let identity = Identity::new(system.executor(), n);
         let events = LoggerRegistry::new();
         let exec_events = system.executor().loggers().clone();
         let logger = crate::log::ConvergenceLogger::new();
@@ -118,7 +119,7 @@ impl<V: Value> SolverCore<V> {
         logger.bind_events(name, exec_events.clone());
         Ok(SolverCore {
             system,
-            precond: identity,
+            precond: None,
             criteria: crate::stop::Criteria::default(),
             logger,
             name,
@@ -162,8 +163,16 @@ impl<V: Value> SolverCore<V> {
                 actual: precond.size(),
             });
         }
-        self.precond = precond;
+        self.precond = Some(precond);
         Ok(())
+    }
+
+    /// Applies the preconditioner, `z = M^{-1} r`; a copy when there is none.
+    pub fn precondition(&self, r: &Dense<V>, z: &mut Dense<V>) -> Result<()> {
+        match &self.precond {
+            Some(m) => m.apply(r, z),
+            None => z.copy_from(r),
+        }
     }
 
     /// Validates `b`/`x` shapes for a solve (single right-hand side).

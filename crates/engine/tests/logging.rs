@@ -136,7 +136,7 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     assert!(summary.pool_dispatches > 0);
     assert!(summary.allocations > 0);
     let ops: Vec<&str> = summary.kernels.iter().map(|k| k.op).collect();
-    for expected in ["solver::Cg", "csr", "dense::dot", "dense::axpy"] {
+    for expected in ["solver::Cg", "csr", "dense::dot", "dense::cg_step_2"] {
         assert!(ops.contains(&expected), "missing {expected} in {ops:?}");
     }
     let spmv = profiler.kernel("csr").unwrap();

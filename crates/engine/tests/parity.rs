@@ -287,3 +287,26 @@ fn axpy_matches_reference() {
         }
     }
 }
+
+#[test]
+fn cg_step_2_matches_reference() {
+    // n = 0, 1 and fewer items than chunks stress the partition edges.
+    let reference = Executor::reference();
+    for n in [0usize, 1, 3, 13, 100, 1023] {
+        let (mut r, q) = blas1_vectors(&reference, n);
+        let (mut x, p) = blas1_vectors(&reference, n);
+        let want = r.cg_step_2(&mut x, &p, &q, 0.8125).unwrap();
+        for threads in THREADS {
+            let omp = Executor::omp(threads);
+            let (mut r_o, q_o) = blas1_vectors(&omp, n);
+            let (mut x_o, p_o) = blas1_vectors(&omp, n);
+            let got = r_o.cg_step_2(&mut x_o, &p_o, &q_o, 0.8125).unwrap();
+            let ctx = format!("cg_step_2/n{n}/omp{threads}");
+            // The updates are elementwise: bitwise. The fused r·r is a
+            // reassociated sum: the dot bound.
+            assert_eq!(x_o.to_host_vec(), x.to_host_vec(), "{ctx}: x");
+            assert_eq!(r_o.to_host_vec(), r.to_host_vec(), "{ctx}: r");
+            assert!(ulps(got, want) <= TOL_ULPS, "{ctx}: {got} vs {want}");
+        }
+    }
+}
